@@ -58,13 +58,17 @@ test:
 
 # Decision-equivalence proofs, named explicitly so a failure reads as "the
 # optimised decision path diverged from the oracle" rather than a generic
-# test break: incremental state vs full rebuild (bitwise, incl. faults and
-# streaming AddJob invalidation), float64 serving engine vs the autograd
-# tape, quantized-tier divergence bounds, and the training guard. These also
-# run under `make test`; this target is the canonical gate.
+# test break: appended descendant features and the heap topological order vs
+# their full-recompute oracles (bitwise), incremental state vs full rebuild
+# (bitwise, incl. faults and streaming AddJob appends and fallbacks), float64
+# serving engine vs the autograd tape, streams vs a from-scratch oracle
+# policy (plus the no-silent-fallback counter check), quantized-tier
+# divergence bounds, and the training guard. These also run under
+# `make test`; this target is the canonical gate.
 equiv:
+	$(GO) test -run 'TestDescendantSummary|TestTopoOrderMatchesSortOracle' ./internal/taskgraph/
 	$(GO) test -run 'TestIncremental|TestServing|TestQuantizedBoundedDivergence|TestBatch' ./internal/core/
-	$(GO) test -run 'TestStreamIncrementalIdentical' ./internal/stream/
+	$(GO) test -run 'TestStreamIncrementalIdentical|TestStreamArrivalsAppend' ./internal/stream/
 	$(GO) test -run 'TestBatchedServingBitIdentical' ./internal/serve/
 
 # Concurrency-sensitive packages run under the race detector: internal/serve

@@ -59,11 +59,9 @@ func (pp *encodeProbe) Reset(s *sim.State) { pp.inner.Reset(s) }
 
 func (pp *encodeProbe) Decide(s *sim.State, r int) int {
 	p := pp.inner
-	if len(p.feats) != s.Graph.NumTasks() {
-		p.feats = taskgraph.DescendantFeatures(s.Graph)
-	}
-	oracle := EncodeFault(s, r, p.feats, p.Agent.Cfg.Window, p.Agent.Cfg.Directed, p.Agent.Cfg.FaultFeatures)
-	inc := p.inc.Encode(s, r, p.feats)
+	oracle := EncodeFault(s, r, taskgraph.DescendantFeatures(s.Graph), p.Agent.Cfg.Window, p.Agent.Cfg.Directed, p.Agent.Cfg.FaultFeatures)
+	p.desc.Update(s.Graph)
+	inc := p.inc.Encode(s, r, &p.desc)
 	assertStatesEqual(pp.t, oracle, inc, fmt.Sprintf("%s decision %d", pp.ctx, pp.n))
 	pp.n++
 	return p.Decide(s, r)
@@ -168,7 +166,7 @@ func TestServingF64BitIdenticalToTape(t *testing.T) {
 		probe := policyFunc{
 			reset: pol.Reset,
 			decide: func(s *sim.State, r int) int {
-				es := EncodeFault(s, r, pol.feats, agent.Cfg.Window, agent.Cfg.Directed, agent.Cfg.FaultFeatures)
+				es := EncodeFault(s, r, pol.desc.Features(), agent.Cfg.Window, agent.Cfg.Directed, agent.Cfg.FaultFeatures)
 				fw := agent.Forward(es)
 				lp, idleIdx := engine.forward(es)
 				if idleIdx != fw.IdleIndex || len(lp) != fw.NumActions {

@@ -38,6 +38,10 @@ type IncrementalStats struct {
 	RowsCopied, RowsFilled int
 	// AdjRebuilds counts adjacency reconstructions (node set changed).
 	AdjRebuilds int
+	// GraphRefreshes counts graph-cache refreshes that re-sorted every
+	// task's neighbour lists (the first after reset, and fallbacks);
+	// GraphAppends counts tasks whose lists were appended on arrivals.
+	GraphRefreshes, GraphAppends int
 }
 
 type incrementalEncoder struct {
@@ -50,8 +54,10 @@ type incrementalEncoder struct {
 	numDone    int
 	faultEpoch int
 
-	// Per-graph-epoch caches (-1 = none yet).
+	// Per-graph-epoch caches (-1 = none yet); graphTasks is the task count
+	// the sorted neighbour lists cover.
 	graphEpoch int
+	graphTasks int
 	maxE       float64
 	sortedSucc [][]int
 	sortedPred [][]int
@@ -91,6 +97,7 @@ func newIncrementalEncoder(w int, directed, faultFeatures bool) *incrementalEnco
 func (e *incrementalEncoder) reset() {
 	e.valid = false
 	e.graphEpoch = -1
+	e.graphTasks = 0
 	e.xEpoch = -1
 	e.adjEpoch = -1
 	// rowOf entries for the stale window must not leak into the next episode
@@ -107,12 +114,14 @@ func (e *incrementalEncoder) reset() {
 
 // Encode returns the EncodedState for a decision on the given resource,
 // reusing as much of the previous decision's state as the validity key allows.
-func (e *incrementalEncoder) Encode(s *sim.State, resource int, F [][taskgraph.NumKernels]float64) *EncodedState {
-	if e.graphEpoch != s.GraphEpoch || len(e.seen) != s.Graph.NumTasks() {
+// desc must cover s.Graph; only the rows of tasks entering the window are
+// normalised.
+func (e *incrementalEncoder) Encode(s *sim.State, resource int, desc *taskgraph.DescendantSummary) *EncodedState {
+	if e.graphEpoch != s.GraphEpoch || e.graphTasks != s.Graph.NumTasks() {
 		e.refreshGraphCaches(s)
 	}
 	if !e.valid || e.numDone != s.NumDone || e.faultEpoch != s.FaultEpoch {
-		e.rebuildWindow(s, F)
+		e.rebuildWindow(s, desc)
 		e.valid, e.numDone, e.faultEpoch = true, s.NumDone, s.FaultEpoch
 	}
 
@@ -136,29 +145,37 @@ func (e *incrementalEncoder) Encode(s *sim.State, resource int, F [][taskgraph.N
 	return es
 }
 
-// refreshGraphCaches rebuilds everything derived from the graph topology and
-// timing tables: called on the first decision and after each GraphEpoch bump
-// (streaming arrival).
+// refreshGraphCaches brings everything derived from the graph topology and
+// timing tables up to date: called on the first decision and after each
+// GraphEpoch bump (streaming arrival). When the graph only gained tasks
+// linked among themselves (taskgraph.Graph.ClosedFrom), the cached sorted
+// neighbour lists of the older tasks still hold and only the new tasks' lists
+// are sorted; otherwise every list is rebuilt.
 func (e *incrementalEncoder) refreshGraphCaches(s *sim.State) {
-	n := s.Graph.NumTasks()
-	e.maxE = s.MaxExpected()
-	e.sortedSucc = resizeIntRows(e.sortedSucc, n)
-	e.sortedPred = resizeIntRows(e.sortedPred, n)
-	for t := 0; t < n; t++ {
-		e.sortedSucc[t] = appendSortedInts(e.sortedSucc[t][:0], s.Graph.Succ[t])
-		e.sortedPred[t] = appendSortedInts(e.sortedPred[t][:0], s.Graph.Pred[t])
+	g := s.Graph
+	n := g.NumTasks()
+	from := e.graphTasks
+	if n < from || !g.ClosedFrom(from) {
+		from = 0
 	}
-	if len(e.seen) < n {
-		e.seen = make([]bool, n)
-		e.depth = make([]int32, n)
-		old := e.rowOf
-		e.rowOf = make([]int32, n)
-		copy(e.rowOf, old)
+	if from == 0 {
+		e.stats.GraphRefreshes++
 	} else {
-		e.seen = e.seen[:n]
-		e.depth = e.depth[:n]
-		e.rowOf = e.rowOf[:n]
+		e.stats.GraphAppends += n - from
 	}
+	e.maxE = s.MaxExpected()
+	e.sortedSucc = growTo(e.sortedSucc, n)
+	e.sortedPred = growTo(e.sortedPred, n)
+	for t := from; t < n; t++ {
+		e.sortedSucc[t] = appendSortedInts(e.sortedSucc[t][:0], g.Succ[t])
+		e.sortedPred[t] = appendSortedInts(e.sortedPred[t][:0], g.Pred[t])
+	}
+	// seen and rowOf are zero outside the current window, including past
+	// their length, so growing them needs no clearing.
+	e.seen = growTo(e.seen, n)
+	e.depth = growTo(e.depth, n)
+	e.rowOf = growTo(e.rowOf, n)
+	e.graphTasks = n
 	e.graphEpoch = s.GraphEpoch
 	e.valid = false
 }
@@ -166,7 +183,7 @@ func (e *incrementalEncoder) refreshGraphCaches(s *sim.State) {
 // rebuildWindow recomputes the window node set (same membership as
 // taskgraph.Window), refills or copies the static feature rows, and rebuilds
 // the induced adjacency when the node set changed.
-func (e *incrementalEncoder) rebuildWindow(s *sim.State, F [][taskgraph.NumKernels]float64) {
+func (e *incrementalEncoder) rebuildWindow(s *sim.State, desc *taskgraph.DescendantSummary) {
 	g := s.Graph
 
 	// Multi-source BFS over successors, depth-capped at w. All seeds start at
@@ -226,7 +243,7 @@ func (e *incrementalEncoder) rebuildWindow(s *sim.State, F [][taskgraph.NumKerne
 			for i := range rf {
 				rf[i] = 0
 			}
-			fillStaticTaskFeatures(s, t, F, e.maxE, rf)
+			fillStaticTaskFeatures(s, t, desc.Row(t), e.maxE, rf)
 			e.stats.RowsFilled++
 		}
 	}
@@ -329,13 +346,13 @@ func resizeMatrix(m *tensor.Matrix, rows, cols int) {
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
 }
 
-func resizeIntRows(rows [][]int, n int) [][]int {
-	if cap(rows) < n {
-		out := make([][]int, n)
-		copy(out, rows)
-		return out
+// growTo returns s resized to n elements, keeping its contents (including
+// any past its length) and growing the backing array geometrically.
+func growTo[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
 	}
-	return rows[:n]
+	return append(s[:cap(s)], make([]T, n-cap(s))...)[:n]
 }
 
 func appendSortedInts(dst, src []int) []int {

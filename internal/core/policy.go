@@ -51,7 +51,9 @@ type Policy struct {
 	InferenceTime  time.Duration
 	InferenceCount int
 
-	feats [][taskgraph.NumKernels]float64
+	// desc holds the current graph's descendant features, extended in place
+	// on streaming arrivals.
+	desc taskgraph.DescendantSummary
 
 	// inc maintains the decision state incrementally on the non-recording
 	// path; nil falls back to EncodeFault on every decision. engine, when set,
@@ -162,11 +164,17 @@ func (p *Policy) IncrementalStats() IncrementalStats {
 	return p.inc.stats
 }
 
+// FeatureStats reports how the descendant features were kept up to date:
+// full recomputes (one per Reset unless a fallback fires) and rows appended
+// on streaming arrivals.
+func (p *Policy) FeatureStats() taskgraph.DescendantStats { return p.desc.Stats() }
+
 // Reset implements sim.Policy: it precomputes the DAG's descendant features
 // and clears the episode recording, the incremental state, and the decision
 // memo.
 func (p *Policy) Reset(s *sim.State) {
-	p.feats = taskgraph.DescendantFeatures(s.Graph)
+	p.desc.Reset()
+	p.desc.Update(s.Graph)
 	p.Steps = p.Steps[:0]
 	if p.inc != nil {
 		p.inc.reset()
@@ -178,12 +186,9 @@ func (p *Policy) Reset(s *sim.State) {
 
 // Decide implements sim.Policy.
 func (p *Policy) Decide(s *sim.State, r int) int {
-	if len(p.feats) != s.Graph.NumTasks() {
-		// The graph grew since Reset (streaming job arrival): recompute the
-		// descendant features over the union DAG. Single-DAG episodes never
-		// take this branch after Reset.
-		p.feats = taskgraph.DescendantFeatures(s.Graph)
-	}
+	// After a streaming job arrival this extends the descendant features by
+	// the job's tasks; otherwise (and always on single DAGs) it is a no-op.
+	p.desc.Update(s.Graph)
 	if p.Record {
 		if p.engine != nil {
 			panic("core: serving precision on a recording (training) policy")
@@ -193,9 +198,9 @@ func (p *Policy) Decide(s *sim.State, r int) int {
 
 	var es *EncodedState
 	if p.inc != nil {
-		es = p.inc.Encode(s, r, p.feats)
+		es = p.inc.Encode(s, r, &p.desc)
 	} else {
-		es = EncodeFault(s, r, p.feats, p.Agent.Cfg.Window, p.Agent.Cfg.Directed, p.Agent.Cfg.FaultFeatures)
+		es = EncodeFault(s, r, p.desc.Features(), p.Agent.Cfg.Window, p.Agent.Cfg.Directed, p.Agent.Cfg.FaultFeatures)
 	}
 	if p.DisableIdle {
 		es.AllowIdle = false
@@ -270,7 +275,7 @@ func (p *Policy) act(es *EncodedState, logProbs []float64, idleIdx int) int {
 // decideTape is the original tape-forward path used for training: the full
 // EncodeFault rebuild, the autograd forward, and step recording.
 func (p *Policy) decideTape(s *sim.State, r int) int {
-	es := EncodeFault(s, r, p.feats, p.Agent.Cfg.Window, p.Agent.Cfg.Directed, p.Agent.Cfg.FaultFeatures)
+	es := EncodeFault(s, r, p.desc.Features(), p.Agent.Cfg.Window, p.Agent.Cfg.Directed, p.Agent.Cfg.FaultFeatures)
 	if p.DisableIdle {
 		es.AllowIdle = false
 	}

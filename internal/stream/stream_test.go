@@ -203,19 +203,49 @@ func TestStreamJobMetricsAgainstTrace(t *testing.T) {
 	}
 }
 
-// TestStreamIncrementalIdentical pins the incremental decision state against
-// its full-rebuild oracle across streaming arrivals: Cluster.AddJob bumps the
-// graph epoch mid-episode, so every cache layer (window, adjacency, static
-// features, decision memo) must invalidate correctly. The default policy
-// (incremental + memo) and the serving engine at float64 must fingerprint
-// identically to the pre-optimization path (full EncodeFault rebuild, tape
-// forward, no memo), with and without fault plans.
+// scratchOraclePolicy is the from-scratch decision path every optimised
+// policy must reproduce: on each call it recomputes the union DAG's
+// descendant features, rebuilds the state with EncodeFault, runs the tape
+// forward and takes the argmax. It shares no state across calls, so it cannot
+// inherit a wrong feature or cache update.
+type scratchOraclePolicy struct{ agent *core.Agent }
+
+func (scratchOraclePolicy) Reset(*sim.State) {}
+
+func (p scratchOraclePolicy) Decide(s *sim.State, r int) int {
+	cfg := p.agent.Cfg
+	feats := taskgraph.DescendantFeatures(s.Graph)
+	es := core.EncodeFault(s, r, feats, cfg.Window, cfg.Directed, cfg.FaultFeatures)
+	fw := p.agent.Forward(es)
+	action, idle := fw.Argmax(), fw.IdleIndex
+	fw.Binding.Release()
+	if action == idle && idle >= 0 {
+		return sim.NoTask
+	}
+	return es.ReadyTasks[action]
+}
+
+// TestStreamIncrementalIdentical pins every optimised decision path against
+// the from-scratch oracle across streaming arrivals: Cluster.AddJob bumps the
+// graph epoch mid-episode, so the appended descendant features and every
+// cache layer (graph caches, window, adjacency, static features, decision
+// memo) must stay exact. The default policy (incremental + memo), the serving
+// engine at float64 and the cache-disabled tape policy must fingerprint
+// identically to the oracle, with and without fault plans and fault
+// features.
 func TestStreamIncrementalIdentical(t *testing.T) {
 	agent := core.NewAgent(core.Config{Window: 1, Layers: 1, Hidden: 8, Seed: 4})
 	faultAgent := core.NewAgent(core.Config{Window: 1, Layers: 1, Hidden: 8, Seed: 4, FaultFeatures: true})
 	variants := map[string]func(a *core.Agent) sim.Policy{
 		"incremental": func(a *core.Agent) sim.Policy { return core.NewPolicy(a) },
 		"serving-f64": func(a *core.Agent) sim.Policy { return core.NewServingPolicy(a, core.PrecisionFloat64) },
+		"tape-rebuild": func(a *core.Agent) sim.Policy {
+			p := core.NewPolicy(a)
+			p.DisableIncrementalState()
+			p.DisableDecisionMemo()
+			p.DisableServingEngine()
+			return p
+		},
 	}
 	for i := 0; i < 6; i++ {
 		seed := int64(5000 + i)
@@ -223,22 +253,41 @@ func TestStreamIncrementalIdentical(t *testing.T) {
 		horizon := arr[len(arr)-1].At + 3000
 		for fi, faults := range []*sim.FaultPlan{nil, sim.GeneratePlan(seed, 4, sim.SpecForRate(1.0, horizon))} {
 			for _, ag := range []*core.Agent{agent, faultAgent} {
-				oracle := runStream(t, func() sim.Policy {
-					p := core.NewPolicy(ag)
-					p.DisableIncrementalState()
-					p.DisableDecisionMemo()
-					p.DisableServingEngine()
-					return p
-				}, arr, seed, faults)
+				oracle := runStream(t, func() sim.Policy { return scratchOraclePolicy{ag} }, arr, seed, faults)
 				want := fingerprint(oracle)
 				for name, mk := range variants {
 					got := runStream(t, func() sim.Policy { return mk(ag) }, arr, seed, faults)
 					if g := fingerprint(got); g != want {
-						t.Fatalf("stream %d faults=%d ff=%v %s diverged from rebuild oracle:\n%s\nvs\n%s",
+						t.Fatalf("stream %d faults=%d ff=%v %s diverged from scratch oracle:\n%s\nvs\n%s",
 							i, fi, ag.Cfg.FaultFeatures, name, g, want)
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestStreamArrivalsAppend checks that a faulted 50-job stream keeps its
+// per-arrival work incremental: one full descendant-feature recompute (at
+// Reset) and one full graph-cache refresh (at the first decision), with
+// every later task appended. A silent fallback to full recomputes would
+// still pass the equivalence tests; this test catches it.
+func TestStreamArrivalsAppend(t *testing.T) {
+	agent := core.NewAgent(core.Config{Window: 1, Layers: 1, Hidden: 8, Seed: 4})
+	arr := testArrivals(t, 77, 50, 2.5)
+	horizon := arr[len(arr)-1].At + 3000
+	pol := core.NewServingPolicy(agent, core.PrecisionFloat64)
+	res := runStream(t, func() sim.Policy { return pol }, arr, 77, sim.GeneratePlan(77, 4, sim.SpecForRate(1.0, horizon)))
+	total := 0
+	for _, j := range res.Jobs {
+		total += j.Tasks
+	}
+	if fs := pol.FeatureStats(); fs.Recomputes != 1 || fs.Appended != total {
+		t.Fatalf("feature stats %+v, want 1 recompute and %d appended", fs, total)
+	}
+	is := pol.IncrementalStats()
+	if is.GraphRefreshes != 1 || is.GraphAppends != total-res.Jobs[0].Tasks {
+		t.Fatalf("graph caches: %d refreshes, %d appended; want 1 and %d",
+			is.GraphRefreshes, is.GraphAppends, total-res.Jobs[0].Tasks)
 	}
 }

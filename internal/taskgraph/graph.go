@@ -215,7 +215,8 @@ func (g *Graph) Sinks() []int {
 
 // TopoOrder returns a topological ordering of the tasks, or an error if the
 // graph contains a cycle (Kahn's algorithm; ties broken by smallest ID for
-// determinism).
+// determinism). The frontier is a min-heap, so the order costs
+// O((n + E) log n).
 func (g *Graph) TopoOrder() ([]int, error) {
 	n := g.NumTasks()
 	indeg := make([]int, n)
@@ -223,22 +224,20 @@ func (g *Graph) TopoOrder() ([]int, error) {
 		indeg[i] = len(g.Pred[i])
 	}
 	// Min-ID frontier keeps the order deterministic.
-	frontier := make([]int, 0, n)
+	frontier := make(intMinHeap, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
-			frontier = append(frontier, i)
+			frontier.push(i)
 		}
 	}
 	order := make([]int, 0, n)
 	for len(frontier) > 0 {
-		sort.Ints(frontier)
-		next := frontier[0]
-		frontier = frontier[1:]
+		next := frontier.pop()
 		order = append(order, next)
 		for _, s := range g.Succ[next] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				frontier = append(frontier, s)
+				frontier.push(s)
 			}
 		}
 	}
@@ -246,6 +245,73 @@ func (g *Graph) TopoOrder() ([]int, error) {
 		return nil, fmt.Errorf("taskgraph: graph has a cycle (%d of %d tasks ordered)", len(order), n)
 	}
 	return order, nil
+}
+
+// intMinHeap is a binary min-heap of task IDs.
+type intMinHeap []int
+
+func (h *intMinHeap) push(v int) {
+	a := append(*h, v)
+	i := len(a) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if a[p] <= v {
+			break
+		}
+		a[i] = a[p]
+		i = p
+	}
+	a[i] = v
+	*h = a
+}
+
+func (h *intMinHeap) pop() int {
+	a := *h
+	top := a[0]
+	last := len(a) - 1
+	v := a[last]
+	a = a[:last]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && a[c+1] < a[c] {
+			c++
+		}
+		if v <= a[c] {
+			break
+		}
+		a[i] = a[c]
+		i = c
+	}
+	if last > 0 {
+		a[i] = v
+	}
+	*h = a
+	return top
+}
+
+// ClosedFrom reports whether no edge links a task with ID ≥ from to a task
+// below from, checking only the tasks at or above from. When tasks have only
+// been appended since the graph had from tasks, it holds exactly when the
+// first from tasks kept their adjacency, which is what lets derived
+// per-task state be extended instead of recomputed.
+func (g *Graph) ClosedFrom(from int) bool {
+	for t := from; t < g.NumTasks(); t++ {
+		for _, p := range g.Pred[t] {
+			if p < from {
+				return false
+			}
+		}
+		for _, c := range g.Succ[t] {
+			if c < from {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Validate checks structural soundness: edge endpoints in range, Succ/Pred
