@@ -6,8 +6,7 @@
 #                      tests
 #   make equiv       — decision-equivalence gate: the incremental/serving
 #                      decision paths must match the full-rebuild tape oracle
-#                      (bitwise for float64; bounded divergence for the
-#                      quantized tiers)
+#                      bit for bit
 #   make race        — just the race-detector runs (serving, agent core, RL,
 #                      fleet, fault-injecting simulator, streaming arrivals)
 #   make obs-smoke   — end-to-end telemetry/trace pipeline check: telemetry
@@ -21,10 +20,10 @@
 #                      validation, trace checked by readys-obs-check)
 #   make fleet-smoke — dispatcher + worker end-to-end check (train job,
 #                      artifact verification, train → serve publish)
-#   make gateway-smoke — shard-router end-to-end check: two batch-enabled
-#                      replicas behind readys-gateway, a replica killed under
-#                      concurrent load (failover, identical responses), and
-#                      the client → gateway → replica trace link-validated
+#   make gateway-smoke — shard-router end-to-end check: two replicas behind
+#                      readys-gateway, a replica killed under concurrent load
+#                      (failover, identical responses), and the client →
+#                      gateway → replica trace link-validated
 #   make bench       — hot-path benchmark snapshot (writes BENCH_<rev>.json)
 #   make bench-smoke — fast readys-bench sanity run
 #   make bench-compare — perf-regression gate: quick bench diffed against the
@@ -60,21 +59,24 @@ test:
 # optimised decision path diverged from the oracle" rather than a generic
 # test break: appended descendant features and the heap topological order vs
 # their full-recompute oracles (bitwise), incremental state vs full rebuild
-# (bitwise, incl. faults and streaming AddJob appends and fallbacks), float64
-# serving engine vs the autograd tape, streams vs a from-scratch oracle
-# policy (plus the no-silent-fallback counter check), quantized-tier
-# divergence bounds, and the training guard. These also run under
-# `make test`; this target is the canonical gate.
+# (bitwise, incl. faults and streaming AddJob appends and fallbacks), the
+# float64 serving engine vs the autograd tape (incl. idle-masked states),
+# streams vs a from-scratch oracle policy (plus the no-silent-fallback counter
+# check), and the training guard. These also run under `make test`; this
+# target is the canonical gate. `go test -run` exits 0 with "no tests to run"
+# when a pattern matches nothing, so each line goes through EQUIV_RUN, which
+# fails unless at least one test ran.
+EQUIV_RUN = out=$$($(GO) test -count=1 -v -run '$(1)' $(2)) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -E '^(ok|FAIL|---)' ; \
+	echo "$$out" | grep -q -- '^--- PASS' || { echo "equiv: -run '$(1)' selected no test in $(2)"; exit 1; }
 equiv:
-	$(GO) test -run 'TestDescendantSummary|TestTopoOrderMatchesSortOracle' ./internal/taskgraph/
-	$(GO) test -run 'TestIncremental|TestServing|TestQuantizedBoundedDivergence|TestBatch' ./internal/core/
-	$(GO) test -run 'TestStreamIncrementalIdentical|TestStreamArrivalsAppend' ./internal/stream/
-	$(GO) test -run 'TestBatchedServingBitIdentical' ./internal/serve/
+	@$(call EQUIV_RUN,TestDescendantSummary|TestTopoOrderMatchesSortOracle,./internal/taskgraph/)
+	@$(call EQUIV_RUN,TestIncremental|TestServing,./internal/core/)
+	@$(call EQUIV_RUN,TestStreamIncrementalIdentical|TestStreamArrivalsAppend,./internal/stream/)
 
 # Concurrency-sensitive packages run under the race detector: internal/serve
-# (registry, pool, handlers, cross-request batching), internal/core
-# (shared-agent inference, the batch coalescer), internal/rl (parallel batch
-# rollouts), internal/fleet (dispatcher, leases, workers), internal/gateway
+# (registry, pool, handlers), internal/core (shared-agent inference),
+# internal/rl (parallel batch rollouts), internal/fleet (dispatcher, leases, workers), internal/gateway
 # (health prober, concurrent failover), internal/sim (fault injection under
 # parallel rollouts), and internal/stream (stream rollouts share agents
 # across workers).
@@ -159,11 +161,11 @@ bench-serve:
 fleet-smoke:
 	$(GO) run ./cmd/readys-fleet -smoke
 
-# End-to-end gateway check: two in-process batch-enabled serve replicas behind
+# End-to-end gateway check: two in-process serve replicas behind
 # readys-gateway. Phase 1 routes a concurrent burst by model hash, phase 2
 # kills the owning replica and requires transparent failover with responses
-# identical to the pre-kill run, phase 3 asserts the survivor actually
-# coalesced batches, phase 4 exports client/gateway/replica span files whose
+# identical to the pre-kill run, phase 3 asserts the survivor counted the
+# schedules it answered (readys_schedules_answered_total > 0), phase 4 exports client/gateway/replica span files whose
 # merge must pass cross-process parent-link validation.
 GW_TMP ?= /tmp/readys-gateway-smoke
 gateway-smoke:
@@ -183,6 +185,6 @@ fleet:
 	$(GO) run ./cmd/readys-fleet -addr :9090 -dir fleet -publish models
 
 # Front two local replicas started by hand, e.g.
-#   make serve & $(GO) run ./cmd/readys-serve -addr :8081 -models models -batch &
+#   make serve & $(GO) run ./cmd/readys-serve -addr :8081 -models models &
 gateway:
 	$(GO) run ./cmd/readys-gateway -addr :8090 -replicas http://127.0.0.1:8080,http://127.0.0.1:8081

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -198,6 +201,83 @@ func TestComparePrecisionRowsGate(t *testing.T) {
 		}
 		if r.Config == "cholesky T=8" && r.Regressed {
 			t.Errorf("improved default row flagged: %+v", r)
+		}
+	}
+}
+
+// TestCompareRetiredRowsSkipped gates a run shaped like the current benchmark
+// (the rows decideVariants, the stream policies and the quick spmm/train
+// configs produce) against the committed BENCH_273bd3e.json, which predates
+// the removal of the batched section, the float32/int8 serving tiers and the
+// unlabeled decide row. Every such baseline row must be printed as skipped,
+// the surviving rows must still be judged, and nothing may trip the gate.
+func TestCompareRetiredRowsSkipped(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_273bd3e.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base report
+	if err := json.Unmarshal(data, &base); err != nil {
+		t.Fatal(err)
+	}
+	if len(base.Batched) == 0 {
+		t.Fatal("baseline has no batched rows to exercise")
+	}
+
+	cur := report{
+		SpMM:  []spmmResult{{N: 128, SparseNsOp: base.SpMM[0].SparseNsOp}},
+		Train: []trainResult{{Kind: "cholesky", T: 8, SparseEpsPerSec: base.Train[0].SparseEpsPerSec}},
+	}
+	oldDecide := map[string]int64{}
+	for _, r := range base.Decide {
+		oldDecide[r.Path+"/"+r.Precision] = r.NsPerDecision
+	}
+	for _, v := range decideVariants() {
+		cur.Decide = append(cur.Decide, decideResult{Kind: "cholesky", T: 8, Path: v.path, Precision: "float64",
+			NsPerDecision: oldDecide[v.path+"/float64"]})
+	}
+	for _, r := range base.Stream {
+		if r.Policy != "readys-int8" {
+			cur.Stream = append(cur.Stream, r)
+		}
+	}
+
+	rows, skipped, regressed := compareReports(base, cur, 0.20)
+	if regressed {
+		t.Fatalf("unchanged surviving rows tripped the gate: %+v", rows)
+	}
+	judged := map[string]bool{}
+	for _, r := range rows {
+		judged[r.Section+" "+r.Config] = true
+	}
+	for _, want := range []string{
+		"decide cholesky T=8 rebuild/float64", "decide cholesky T=8 serving/float64",
+		"stream readys jobs=20", "spmm n=128", "train cholesky T=8",
+	} {
+		if !judged[want] {
+			t.Errorf("row %q not judged; judged %v", want, judged)
+		}
+	}
+
+	var sb strings.Builder
+	printComparison(&sb, "BENCH_273bd3e.json", rows, skipped, 0.20)
+	out := sb.String()
+	wants := []string{
+		"skipped: decide cholesky T=8: not in current run",
+		"skipped: decide cholesky T=8 serving/float32: not in current run",
+		"skipped: decide cholesky T=8 serving/int8: not in current run",
+		"skipped: stream readys-int8 jobs=20: not in current run",
+	}
+	for _, b := range base.Batched {
+		arm := "unbatched"
+		if b.Batched {
+			arm = "batched"
+		}
+		wants = append(wants, fmt.Sprintf("skipped: batched clients=%d %s: not in current run", b.Clients, arm))
+	}
+	for _, want := range wants {
+		if !strings.Contains(out, want) {
+			t.Errorf("comparison missing %q:\n%s", want, out)
 		}
 	}
 }

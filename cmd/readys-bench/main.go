@@ -2,22 +2,21 @@
 // writes the results as a JSON snapshot (BENCH_<rev>.json by default), so the
 // perf trajectory of the codebase is tracked in-tree alongside the code.
 //
-// Five groups are reported:
+// Four groups are reported:
 //
 //   - spmm: sparse CSR propagation vs the dense n x n baseline at GCN shapes
 //     (ns/op and allocs/op via testing.Benchmark),
-//   - decide: single scheduling decisions per second through Agent.Forward,
+//   - decide: scheduling decisions per second on the full-rebuild tape oracle
+//     and on the serving policy (incremental state, memo, float64 engine),
 //   - train: training episodes per second on a Cholesky batch, sparse vs the
 //     DenseProp ablation and rollout workers 1 vs GOMAXPROCS,
 //   - stream: online multi-tenant scheduling throughput — whole Poisson job
-//     streams through stream.Run, as wall-clock jobs/sec per policy,
-//   - batched: concurrent serving clients at 1/8/64, private policies vs one
-//     shared cross-request Batcher, as aggregate decisions/sec.
+//     streams through stream.Run, as wall-clock jobs/sec per policy.
 //
 // With -compare BENCH_old.json the run becomes a perf-regression gate: the
 // current numbers are diffed against the committed snapshot on config-matched
-// rows (spmm by n, decide/train by kind and T, stream by policy and jobs,
-// batched by clients and arm — baselines predating a section skip it), a
+// rows (spmm by n, decide by kind, T and pipeline, train by kind and T,
+// stream by policy and jobs — baselines predating a section skip it), a
 // per-metric delta table is printed, and the process exits non-zero when any
 // key metric — spmm ns/op, ns_per_decision, train eps/sec, or
 // stream_jobs_per_sec — regressed beyond the tolerance (-tol, or the
@@ -44,8 +43,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -75,12 +72,12 @@ type spmmResult struct {
 type decideResult struct {
 	Kind string `json:"kind"`
 	T    int    `json:"T"`
-	// Path and Precision identify the decision pipeline of the row: "" (the
-	// default policy — incremental state, decision memo, tape forward),
-	// "rebuild" (full EncodeFault + tape on every decision, the
-	// pre-optimization oracle) or "serving" (the allocation-free engine), with
-	// Precision naming the serving tier. Both are omitted from the legacy
-	// default row so old snapshots keep matching it byte for byte.
+	// Path and Precision identify the decision pipeline of the row:
+	// "rebuild" (full EncodeFault + tape on every decision, the oracle) or
+	// "serving" (core.NewPolicy: incremental state, decision memo and the
+	// float64 engine). Precision is always "float64"; it stays in the key so
+	// these rows keep matching the labeled rows of older snapshots, whose
+	// unlabeled default and float32/int8 rows now skip.
 	Path            string  `json:"path,omitempty"`
 	Precision       string  `json:"precision,omitempty"`
 	DecisionsPerSec float64 `json:"decisions_per_sec"`
@@ -111,33 +108,27 @@ type streamResult struct {
 	TasksPerSec float64 `json:"tasks_per_sec"`
 }
 
-type batchedResult struct {
-	Kind    string `json:"kind"`
-	T       int    `json:"T"`
-	Clients int    `json:"clients"`
-	// Batched selects the arm: false = each client owns a private serving
-	// policy; true = all clients share one core.Batcher (the gateway/serve
-	// cross-request batching path) at MaxWidth = clients.
-	Batched         bool    `json:"batched"`
-	Episodes        int     `json:"episodes"` // per client
-	DecisionsPerSec float64 `json:"batched_decisions_per_sec"`
-	// MeanBatchWidth is rows forwarded per flush (batched arm only): how much
-	// cross-request coalescing actually happened at this client count.
-	MeanBatchWidth float64 `json:"mean_batch_width,omitempty"`
+// retiredBatchedRow is the identity of a row of the batched section
+// (concurrent clients through the removed cross-request batcher). Current
+// runs produce none; older baselines still carry them, and -compare reports
+// each as skipped.
+type retiredBatchedRow struct {
+	Clients int  `json:"clients"`
+	Batched bool `json:"batched"`
 }
 
 type report struct {
-	Rev        string          `json:"rev"`
-	GoVersion  string          `json:"go_version"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	NumCPU     int             `json:"num_cpu"`
-	Generated  string          `json:"generated"`
-	Quick      bool            `json:"quick"`
-	SpMM       []spmmResult    `json:"spmm"`
-	Decide     []decideResult  `json:"decide"`
-	Train      []trainResult   `json:"train"`
-	Stream     []streamResult  `json:"stream"`
-	Batched    []batchedResult `json:"batched,omitempty"`
+	Rev        string              `json:"rev"`
+	GoVersion  string              `json:"go_version"`
+	GOMAXPROCS int                 `json:"gomaxprocs"`
+	NumCPU     int                 `json:"num_cpu"`
+	Generated  string              `json:"generated"`
+	Quick      bool                `json:"quick"`
+	SpMM       []spmmResult        `json:"spmm"`
+	Decide     []decideResult      `json:"decide"`
+	Train      []trainResult       `json:"train"`
+	Stream     []streamResult      `json:"stream"`
+	Batched    []retiredBatchedRow `json:"batched,omitempty"`
 }
 
 func main() {
@@ -203,24 +194,14 @@ func main() {
 			rep.SpMM[len(rep.SpMM)-1].Speedup)
 	}
 
-	// decide follows -T even in quick mode so a quick gate run produces a row
+	// decide follows -T even in quick mode so a quick gate run produces rows
 	// matching the committed full-run baseline (which benches decide at T=8).
-	// The unlabeled row is the default policy (incremental + memo since PR 8)
-	// and keeps the legacy shape so pre-PR-8 baselines still match it; the
-	// labeled rows pin each pipeline explicitly for the gate going forward.
 	decT := *tiles
 	for _, v := range decideVariants() {
 		r := benchDecide(decT, v)
 		rep.Decide = append(rep.Decide, r)
-		label := "default"
-		if v.path != "" {
-			label = v.path
-			if v.prec != "" {
-				label += "/" + v.prec
-			}
-		}
-		fmt.Printf("decide T=%d %s: %.0f decisions/sec (%d ns, %d allocs per decision)\n",
-			decT, label, r.DecisionsPerSec, r.NsPerDecision, r.AllocsPerOp)
+		fmt.Printf("decide T=%d %s/float64: %.0f decisions/sec (%d ns, %d allocs per decision)\n",
+			decT, v.path, r.DecisionsPerSec, r.NsPerDecision, r.AllocsPerOp)
 	}
 
 	trainTs := []int{*tiles}
@@ -245,27 +226,6 @@ func main() {
 		rep.Stream = append(rep.Stream, sr)
 		fmt.Printf("stream %s: %.1f jobs/sec (%.0f tasks/sec, %d jobs of %d tasks)\n",
 			sr.Policy, sr.JobsPerSec, sr.TasksPerSec, sr.Jobs, sr.Tasks)
-	}
-
-	// batched: concurrent serving clients, private policies vs one shared
-	// Batcher, at the client counts the gateway smoke and chaos tests use.
-	batchClients := []int{1, 8, 64}
-	if *quick {
-		batchClients = []int{1, 8}
-	}
-	for _, nc := range batchClients {
-		for _, batched := range []bool{false, true} {
-			br := benchBatched(*tiles, nc, *quick, batched)
-			rep.Batched = append(rep.Batched, br)
-			arm := "unbatched"
-			extra := ""
-			if batched {
-				arm = "batched"
-				extra = fmt.Sprintf(", mean width %.1f", br.MeanBatchWidth)
-			}
-			fmt.Printf("batched T=%d clients=%d %s: %.0f decisions/sec (%d episodes/client%s)\n",
-				br.T, br.Clients, arm, br.DecisionsPerSec, br.Episodes, extra)
-		}
 	}
 
 	// In gate mode the snapshot is only written when -out names a path:
@@ -372,29 +332,23 @@ func benchSpMM(n, hidden int) spmmResult {
 
 // decideVariant names one decision pipeline for the decide benchmark.
 type decideVariant struct {
-	path string // "" (default), "rebuild", "incremental" or "serving"
-	prec string // serving precision tier ("" outside the serving path)
+	path string // "rebuild" or "serving"
 	mk   func(agent *core.Agent) *core.Policy
 }
 
-// decideVariants enumerates the benched pipelines: the default policy
-// (unlabeled legacy row), the full-rebuild oracle, and the serving engine at
-// every precision tier. The default row and serving/float64 decide
-// bit-identically to rebuild/float64 (see the core equivalence tests) — the
-// rows differ only in speed.
+// decideVariants enumerates the benched pipelines: the full-rebuild tape
+// oracle and the serving policy. They decide bit-identically (see the core
+// equivalence tests) — the rows differ only in speed.
 func decideVariants() []decideVariant {
 	return []decideVariant{
-		{"", "", core.NewPolicy},
-		{"rebuild", "float64", func(a *core.Agent) *core.Policy {
+		{"rebuild", func(a *core.Agent) *core.Policy {
 			p := core.NewPolicy(a)
 			p.DisableIncrementalState()
 			p.DisableDecisionMemo()
 			p.DisableServingEngine()
 			return p
 		}},
-		{"serving", "float64", func(a *core.Agent) *core.Policy { return core.NewServingPolicy(a, core.PrecisionFloat64) }},
-		{"serving", "float32", func(a *core.Agent) *core.Policy { return core.NewServingPolicy(a, core.PrecisionFloat32) }},
-		{"serving", "int8", func(a *core.Agent) *core.Policy { return core.NewServingPolicy(a, core.PrecisionInt8) }},
+		{"serving", core.NewPolicy},
 	}
 }
 
@@ -426,7 +380,7 @@ func benchDecide(T int, v decideVariant) decideResult {
 		Kind:            "cholesky",
 		T:               T,
 		Path:            v.path,
-		Precision:       v.prec,
+		Precision:       "float64",
 		DecisionsPerSec: 1e9 / float64(nsPerDecision),
 		NsPerDecision:   nsPerDecision,
 		AllocsPerOp:     res.AllocsPerOp() / int64(decisions),
@@ -460,9 +414,6 @@ func benchStream(jobs int) []streamResult {
 		{"mct", func() sim.Policy { return sched.MCTPolicy{} }},
 		{"heft-per-job", func() sim.Policy { return stream.NewHEFTPerJobPolicy() }},
 		{"readys", func() sim.Policy { return core.NewPolicy(agent) }},
-		// The stream row is GCN-bound, so the reduced serving tier shows up
-		// directly in jobs/sec; float64 above is already bit-identical serving.
-		{"readys-int8", func() sim.Policy { return core.NewServingPolicy(agent, core.PrecisionInt8) }},
 	}
 	out := make([]streamResult, 0, len(cases))
 	for _, c := range cases {
@@ -488,113 +439,6 @@ func benchStream(jobs int) []streamResult {
 		})
 	}
 	return out
-}
-
-// benchBatched measures concurrent serving throughput at a given client
-// count: nc goroutines each running full Cholesky episodes through a
-// float64 serving policy, either privately (batched=false) or all sharing one
-// core.Batcher at MaxWidth = nc (batched=true) — the exact coalescing path
-// /v1/schedule requests take through a batch-enabled readys-serve. Reported as
-// aggregate wall-clock decisions/sec, best of two runs.
-//
-// Note the honest caveat: on a single-core box the shared-batcher arm pays
-// coordination cost without any parallel-hardware payoff, so batched is
-// expected to run at or slightly below unbatched parity here. The row exists
-// to (a) prove batching costs ~nothing at width 1, and (b) track the
-// coalescing overhead so wins on multi-core/batch-efficient backends are
-// measured against a pinned baseline.
-func benchBatched(T, nc int, quick, batched bool) batchedResult {
-	spec := exp.DefaultAgentSpec(taskgraph.Cholesky, T, 2, 2)
-	agent := core.NewAgent(spec.AgentConfig())
-
-	// Keep total work roughly constant across client counts so every row runs
-	// for a comparable wall-clock window.
-	totalEps := 128
-	if quick {
-		totalEps = 16
-	}
-	episodes := totalEps / nc
-	if episodes < 1 {
-		episodes = 1
-	}
-
-	var flushes, rows int64
-	var b *core.Batcher
-	if batched {
-		b = core.NewBatcher(agent, core.PrecisionFloat64, core.BatcherConfig{
-			MaxWidth: nc,
-			// Generous dwell: flushing is driven by the pending >= attached
-			// co-scheduling rule, the timer is only a straggler safety net.
-			Dwell: 5 * time.Millisecond,
-			OnFlush: func(w int) {
-				atomic.AddInt64(&flushes, 1)
-				atomic.AddInt64(&rows, int64(w))
-			},
-		})
-	}
-
-	run := func(eps int) (decisions int64, elapsed time.Duration) {
-		// Attach every client before any rollout starts so the batcher knows
-		// the true concurrency from the first decision (the same admission
-		// order serve's HTTP handler uses).
-		if batched {
-			for i := 0; i < nc; i++ {
-				b.Attach()
-			}
-		}
-		var wg sync.WaitGroup
-		var total int64
-		start := time.Now()
-		for c := 0; c < nc; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				if batched {
-					defer b.Detach()
-				}
-				problem := spec.Problem()
-				pol := core.NewServingPolicy(agent, core.PrecisionFloat64)
-				if batched {
-					pol.UseBatcher(b)
-				}
-				rng := rand.New(rand.NewSource(int64(1000 + c)))
-				for e := 0; e < eps; e++ {
-					res, err := problem.Simulate(pol, rng)
-					if err != nil {
-						log.Fatalf("bench batched: %v", err)
-					}
-					atomic.AddInt64(&total, int64(res.Decisions+res.IdleDecisions))
-				}
-			}(c)
-		}
-		wg.Wait()
-		return total, time.Since(start)
-	}
-
-	run(1) // warm-up: fault code paths, fill pools
-	atomic.StoreInt64(&flushes, 0)
-	atomic.StoreInt64(&rows, 0)
-
-	// best-of-2, same rationale as benchTrain.
-	best := 0.0
-	for i := 0; i < 2; i++ {
-		d, el := run(episodes)
-		if dps := float64(d) / el.Seconds(); dps > best {
-			best = dps
-		}
-	}
-	res := batchedResult{
-		Kind:            "cholesky",
-		T:               T,
-		Clients:         nc,
-		Batched:         batched,
-		Episodes:        episodes,
-		DecisionsPerSec: best,
-	}
-	if batched && flushes > 0 {
-		res.MeanBatchWidth = float64(rows) / float64(flushes)
-	}
-	return res
 }
 
 // benchTrain measures training throughput (episodes/sec) on Cholesky T with

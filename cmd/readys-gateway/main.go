@@ -51,7 +51,7 @@ func main() {
 		healthInterval = flag.Duration("health-interval", 0, "replica /healthz probe period (0 = default)")
 		retries        = flag.Int("retries", 0, "failover attempts after the first forward fails (0 = default)")
 		timeout        = flag.Duration("timeout", 0, "per-request deadline across all failover attempts (0 = default)")
-		smoke          = flag.Bool("smoke", false, "run an in-process gateway + 2 batched replicas end-to-end check and exit")
+		smoke          = flag.Bool("smoke", false, "run an in-process gateway + 2 replicas end-to-end check and exit")
 		traceOut       = flag.String("trace-out", "", "with -smoke: write client.json, gateway.json, replica1.json and replica2.json into this directory")
 	)
 	flag.Parse()
@@ -115,11 +115,10 @@ type smokeReplica struct {
 }
 
 // runSmoke is the end-to-end check behind `make gateway-smoke`: a gateway
-// over two batched replicas serving the same checkpoint, driven by a traced
-// client. It proves (1) concurrent batched requests all succeed, (2) killing
-// the replica that owns the model fails requests over to the survivor with
-// bit-identical schedules, (3) the survivor's batch instrumentation saw
-// traffic, and (4) the client → gateway → replica trace exports stitch into
+// over two replicas serving the same checkpoint, driven by a traced client.
+// It proves (1) concurrent requests all succeed, (2) killing the replica that
+// owns the model fails requests over to the survivor with bit-identical
+// schedules, (3) the survivor counted the schedules it answered, and (4) the client → gateway → replica trace exports stitch into
 // one linked timeline (the Makefile re-validates that with
 // readys-obs-check -merge / -links).
 func runSmoke(logger *log.Logger, traceOut string) error {
@@ -141,7 +140,6 @@ func runSmoke(logger *log.Logger, traceOut string) error {
 	for i := 0; i < 2; i++ {
 		srv := serve.New(serve.Config{
 			ModelsDir: dir, Workers: 4, Queue: 64, RequestTimeout: 30 * time.Second,
-			Batch: true, BatchWidth: 4, BatchDwell: 2 * time.Millisecond,
 		})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -202,7 +200,7 @@ func runSmoke(logger *log.Logger, traceOut string) error {
 		return rec.status, resp, nil
 	}
 
-	// Phase 1: concurrent batched requests with both replicas healthy.
+	// Phase 1: concurrent requests with both replicas healthy.
 	const clients = 8
 	want := make([]serve.ScheduleResponse, clients)
 	if err := burst(clients, post, func(i int, resp serve.ScheduleResponse) { want[i] = resp }); err != nil {
@@ -235,15 +233,15 @@ func runSmoke(logger *log.Logger, traceOut string) error {
 		return errors.New("smoke: owning replica died but no failover was recorded")
 	}
 
-	// Phase 3: the survivor's batch instrumentation must have seen traffic.
+	// Phase 3: the survivor's metrics must count the failed-over schedules.
 	mr, err := httpClient.Get(survivor.url + "/metrics?format=prometheus")
 	if err != nil {
 		return err
 	}
 	mbody, _ := io.ReadAll(mr.Body)
 	mr.Body.Close()
-	if !hasPositiveSample(string(mbody), "readys_batch_width_count") {
-		return errors.New("smoke: survivor recorded no batch flushes (readys_batch_width_count is 0)")
+	if !hasPositiveSample(string(mbody), "readys_schedules_answered_total") {
+		return errors.New("smoke: survivor answered no schedules (readys_schedules_answered_total is 0)")
 	}
 
 	// Phase 4: export every process's trace for the cross-process link check.

@@ -30,7 +30,6 @@ import (
 	"syscall"
 	"time"
 
-	"readys/internal/core"
 	"readys/internal/exp"
 	"readys/internal/serve"
 )
@@ -46,18 +45,9 @@ func main() {
 		drain       = flag.Duration("drain", 30*time.Second, "shutdown drain budget")
 		enablePprof = flag.Bool("pprof", false, "expose net/http/pprof and /debug/runtime (off by default)")
 		traceEvents = flag.Int("trace-events", 0, "request-span ring capacity for /debug/trace (0 = default)")
-		precision   = flag.String("precision", "float64", "serving precision for rollouts: float64 (bit-identical to training-path decisions), float32 or int8")
-		batch       = flag.Bool("batch", false, "coalesce concurrent decision steps on one model into row-batched forwards (bit-identical per request at float64)")
-		batchWidth  = flag.Int("batch-width", 0, "maximum states per flushed batch (0 = default)")
-		batchDwell  = flag.Duration("batch-dwell", 0, "longest a decision waits for batch peers before flushing anyway (0 = default)")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "readys-serve: ", log.LstdFlags)
-
-	prec, err := core.ParsePrecision(*precision)
-	if err != nil {
-		logger.Fatal(err)
-	}
 
 	if info, err := os.Stat(*models); err != nil {
 		logger.Fatalf("model directory %s: %v", *models, err)
@@ -74,17 +64,7 @@ func main() {
 		Logger:         logger,
 		EnablePprof:    *enablePprof,
 		TraceEvents:    *traceEvents,
-		Precision:      prec,
-		Batch:          *batch,
-		BatchWidth:     *batchWidth,
-		BatchDwell:     *batchDwell,
 	})
-	if prec != core.PrecisionFloat64 {
-		logger.Printf("serving precision %s (reduced tier; decisions may diverge within the documented bound)", prec)
-	}
-	if *batch {
-		logger.Print("cross-request batching enabled")
-	}
 	if *enablePprof {
 		logger.Print("pprof enabled at /debug/pprof/")
 	}

@@ -154,30 +154,39 @@ func TestIncrementalResultIdentical(t *testing.T) {
 
 // TestServingF64BitIdenticalToTape requires the float64 serving engine to
 // reproduce the tape forward's log-probabilities bit for bit on every
-// decision of a faulted episode.
+// decision of a faulted episode, both as encoded and with the ∅ action masked
+// (AllowIdle=false, the states DisableIdle produces).
 func TestServingF64BitIdenticalToTape(t *testing.T) {
 	for _, ff := range []bool{false, true} {
 		agent := NewAgent(Config{Window: 2, Layers: 2, Hidden: 16, Seed: 9, FaultFeatures: ff})
 		prob := NewProblem(taskgraph.Cholesky, 6, 2, 2, 0.1)
 		prob.Faults = sim.SpecForRate(1.0, 0)
-		engine := newServeEngine(agent, PrecisionFloat64)
+		engine := newServeEngine(agent)
 		pol := NewPolicy(agent)
-		n := 0
+		n, masked := 0, 0
+		compare := func(es *EncodedState, ctx string) {
+			fw := agent.Forward(es)
+			lp, idleIdx := engine.forward(es)
+			if idleIdx != fw.IdleIndex || len(lp) != fw.NumActions {
+				t.Fatalf("%s: action space %d/%d vs %d/%d", ctx, len(lp), idleIdx, fw.NumActions, fw.IdleIndex)
+			}
+			for i := range lp {
+				if math.Float64bits(lp[i]) != math.Float64bits(fw.LogProbs.Value.Data[i]) {
+					t.Fatalf("%s: logprob[%d] = %v vs tape %v", ctx, i, lp[i], fw.LogProbs.Value.Data[i])
+				}
+			}
+			fw.Binding.Release()
+		}
 		probe := policyFunc{
 			reset: pol.Reset,
 			decide: func(s *sim.State, r int) int {
 				es := EncodeFault(s, r, pol.desc.Features(), agent.Cfg.Window, agent.Cfg.Directed, agent.Cfg.FaultFeatures)
-				fw := agent.Forward(es)
-				lp, idleIdx := engine.forward(es)
-				if idleIdx != fw.IdleIndex || len(lp) != fw.NumActions {
-					t.Fatalf("decision %d: action space %d/%d vs %d/%d", n, len(lp), idleIdx, fw.NumActions, fw.IdleIndex)
+				compare(es, fmt.Sprintf("ff=%v decision %d", ff, n))
+				if es.AllowIdle {
+					es.AllowIdle = false
+					compare(es, fmt.Sprintf("ff=%v decision %d idle masked", ff, n))
+					masked++
 				}
-				for i := range lp {
-					if math.Float64bits(lp[i]) != math.Float64bits(fw.LogProbs.Value.Data[i]) {
-						t.Fatalf("decision %d: logprob[%d] = %v vs tape %v", n, i, lp[i], fw.LogProbs.Value.Data[i])
-					}
-				}
-				fw.Binding.Release()
 				n++
 				return pol.Decide(s, r)
 			},
@@ -185,69 +194,70 @@ func TestServingF64BitIdenticalToTape(t *testing.T) {
 		if _, err := prob.Simulate(probe, rand.New(rand.NewSource(31))); err != nil {
 			t.Fatal(err)
 		}
-		if n == 0 {
-			t.Fatal("no decisions compared")
+		if n == 0 || masked == 0 {
+			t.Fatalf("ff=%v: compared %d decisions, %d idle-masked", ff, n, masked)
 		}
 	}
 }
 
 // TestServingPolicyResultIdentical pins the end-to-end contract serve relies
-// on: a float64 serving policy (engine + incremental + memo) schedules
-// exactly like the oracle tape policy.
+// on: the serving policy (engine + incremental + memo) schedules exactly like
+// the oracle tape policy, with the ∅ action allowed and with it masked.
 func TestServingPolicyResultIdentical(t *testing.T) {
 	agent := NewAgent(Config{Window: 2, Layers: 2, Hidden: 16, Seed: 11})
 	prob := NewProblem(taskgraph.QR, 6, 2, 2, 0.1)
 	prob.Faults = sim.SpecForRate(1.0, 0)
 
-	serving := NewServingPolicy(agent, PrecisionFloat64)
-	oracle := NewPolicy(agent)
-	oracle.DisableIncrementalState()
-	oracle.DisableDecisionMemo()
-	oracle.DisableServingEngine()
+	for _, disableIdle := range []bool{false, true} {
+		serving := NewPolicy(agent)
+		oracle := NewPolicy(agent)
+		oracle.DisableIncrementalState()
+		oracle.DisableDecisionMemo()
+		oracle.DisableServingEngine()
+		serving.DisableIdle, oracle.DisableIdle = disableIdle, disableIdle
 
-	ra, err := prob.Simulate(serving, rand.New(rand.NewSource(41)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := prob.Simulate(oracle, rand.New(rand.NewSource(41)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra.Makespan != rb.Makespan || len(ra.Trace) != len(rb.Trace) {
-		t.Fatalf("serving f64 diverged from tape: %+v vs %+v", ra, rb)
-	}
-	for i := range ra.Trace {
-		if ra.Trace[i] != rb.Trace[i] {
-			t.Fatalf("trace[%d]: %+v vs %+v", i, ra.Trace[i], rb.Trace[i])
+		ra, err := prob.Simulate(serving, rand.New(rand.NewSource(41)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := prob.Simulate(oracle, rand.New(rand.NewSource(41)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ra.Makespan != rb.Makespan || len(ra.Trace) != len(rb.Trace) {
+			t.Fatalf("disableIdle=%v: serving diverged from tape: %+v vs %+v", disableIdle, ra, rb)
+		}
+		for i := range ra.Trace {
+			if ra.Trace[i] != rb.Trace[i] {
+				t.Fatalf("disableIdle=%v: trace[%d]: %+v vs %+v", disableIdle, i, ra.Trace[i], rb.Trace[i])
+			}
+		}
+		if disableIdle && ra.IdleDecisions != 0 {
+			t.Fatalf("DisableIdle policy took %d idle decisions", ra.IdleDecisions)
 		}
 	}
 }
 
-// TestServingNeverInTraining pins the guard: reduced precision on a recording
-// policy must panic rather than feed the trainer.
+// TestServingNeverInTraining pins the guard: a policy on the serving engine
+// with Record set must panic in Decide rather than feed the trainer
+// tapeless decisions.
 func TestServingNeverInTraining(t *testing.T) {
 	agent := NewAgent(Config{Window: 1, Layers: 1, Hidden: 8, Seed: 2})
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("EnableServing on a recording policy did not panic")
-			}
+	for name, p := range map[string]*Policy{
+		"NewPolicy":        NewPolicy(agent),
+		"NewServingPolicy": NewServingPolicy(agent, PrecisionFloat64),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: Decide on a recording serving policy did not panic", name)
+				}
+			}()
+			p.Record = true
+			prob := NewProblem(taskgraph.Cholesky, 4, 1, 1, 0)
+			_, _ = prob.Simulate(p, rand.New(rand.NewSource(1)))
 		}()
-		p := NewTrainingPolicy(agent, rand.New(rand.NewSource(1)))
-		p.EnableServing(PrecisionInt8)
-	}()
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Decide on a recording serving policy did not panic")
-			}
-		}()
-		p := NewServingPolicy(agent, PrecisionFloat32)
-		p.Record = true
-		prob := NewProblem(taskgraph.Cholesky, 4, 1, 1, 0)
-		_, _ = prob.Simulate(p, rand.New(rand.NewSource(1)))
-	}()
+	}
 }
 
 // policyFunc adapts two closures to sim.Policy for probing tests.

@@ -1,105 +1,42 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
-	"readys/internal/nn"
 	"readys/internal/tensor"
 )
 
-// Precision selects the numeric tier of the serving forward path. Training
-// always runs float64 on the autograd tape; the reduced tiers exist only for
-// inference behind an explicit knob.
+// Precision names the numeric tier of the serving forward path. float64 is
+// the only tier; the type remains so callers of NewServingPolicy (the
+// perfbench harness) keep compiling.
 type Precision int
 
-const (
-	// PrecisionFloat64 runs the serving engine in float64. Every operation
-	// replicates the tape forward bit for bit, so decisions are identical to
-	// the training-path policy — it is the tape's oracle-equivalent without
-	// tape bookkeeping.
-	PrecisionFloat64 Precision = iota
-	// PrecisionFloat32 converts weights and activations to float32.
-	PrecisionFloat32
-	// PrecisionInt8 quantizes weight matrices to int8 (per-output-column
-	// symmetric scales) and accumulates in float32.
-	PrecisionInt8
-)
-
-// String returns the flag-friendly name of the precision tier.
-func (p Precision) String() string {
-	switch p {
-	case PrecisionFloat64:
-		return "float64"
-	case PrecisionFloat32:
-		return "float32"
-	case PrecisionInt8:
-		return "int8"
-	}
-	return fmt.Sprintf("Precision(%d)", int(p))
-}
-
-// ParsePrecision parses a precision tier name as accepted by the serving
-// knobs ("float64"/"f64", "float32"/"f32", "int8"/"q8").
-func ParsePrecision(s string) (Precision, error) {
-	switch s {
-	case "float64", "f64", "fp64", "":
-		return PrecisionFloat64, nil
-	case "float32", "f32", "fp32":
-		return PrecisionFloat32, nil
-	case "int8", "q8":
-		return PrecisionInt8, nil
-	}
-	return 0, fmt.Errorf("core: unknown precision %q (want float64, float32 or int8)", s)
-}
+// PrecisionFloat64 is the float64 serving engine, bit-identical to the tape.
+const PrecisionFloat64 Precision = 0
 
 // serveEngine evaluates the agent's policy head without the autograd tape:
-// preallocated scratch, no per-decision allocations, and optionally reduced
-// precision. The float64 tier reproduces Agent.Forward's log-probabilities bit
-// for bit (same kernels, same operation order); float32/int8 use weight copies
-// converted once at construction. The critic is skipped — serving only needs
-// the action distribution.
+// preallocated scratch and no per-decision allocations. It reproduces
+// Agent.Forward's log-probabilities bit for bit (same kernels, same operation
+// order). The critic is skipped — serving only needs the action distribution.
 type serveEngine struct {
 	agent *Agent
-	prec  Precision
 
-	// Converted weights, built once for the reduced tiers: input, gcn layers,
-	// actor, proc, idle in that order.
-	layers []*nn.ServingLayer
-
-	// float64 scratch.
-	h, tmp, ready, pooled, cat, score tensor.Matrix
-	argBuf                            []int
-
-	// float32 scratch.
-	x32, p32, h32, tmp32, ready32, pooled32, cat32, score32 tensor.Matrix32
-	val32                                                   []float32
+	h, tmp, ready, cat, score tensor.Matrix
+	argBuf                    []int
 
 	logits   []float64
 	logProbs []float64
 }
 
-// newServeEngine builds an engine for the agent at the given precision. The
-// engine reads the agent's parameters (float64) or private converted copies
-// (float32/int8); it never writes them.
-func newServeEngine(a *Agent, prec Precision) *serveEngine {
+// newServeEngine builds an engine for the agent. The engine reads the agent's
+// parameters; it never writes them.
+func newServeEngine(a *Agent) *serveEngine {
 	if a.Cfg.DenseProp {
 		// The engine only implements the sparse propagation hot path; the
 		// dense ablation keeps the tape forward.
 		panic("core: serving engine does not support DenseProp")
 	}
-	en := &serveEngine{agent: a, prec: prec}
-	if prec != PrecisionFloat64 {
-		en.layers = append(en.layers, nn.NewServingLayer(a.input.W, a.input.B))
-		for _, g := range a.gcn {
-			en.layers = append(en.layers, nn.NewServingLayer(g.W, g.B))
-		}
-		en.layers = append(en.layers,
-			nn.NewServingLayer(a.actor.W, a.actor.B),
-			nn.NewServingLayer(a.proc.W, a.proc.B),
-			nn.NewServingLayer(a.idle.W, a.idle.B))
-	}
-	return en
+	return &serveEngine{agent: a}
 }
 
 // forward computes the log-probabilities over the state's actions. The
@@ -108,11 +45,7 @@ func (en *serveEngine) forward(es *EncodedState) (logProbs []float64, idleIdx in
 	if len(es.ReadyRows) == 0 {
 		panic("core: serving forward with no ready task")
 	}
-	if en.prec == PrecisionFloat64 {
-		en.forwardF64(es)
-	} else {
-		en.forwardReduced(es)
-	}
+	en.logitsInto(es)
 
 	k := len(en.logits)
 	if cap(en.logProbs) < k {
@@ -127,9 +60,10 @@ func (en *serveEngine) forward(es *EncodedState) (logProbs []float64, idleIdx in
 	return en.logProbs, idleIdx
 }
 
-// forwardF64 mirrors Agent.Forward operation by operation on the shared
-// float64 kernels; see the bit-identity test against the tape forward.
-func (en *serveEngine) forwardF64(es *EncodedState) {
+// logitsInto computes the action scores into en.logits, mirroring
+// Agent.Forward operation by operation on the shared float64 kernels; see the
+// bit-identity test against the tape forward.
+func (en *serveEngine) logitsInto(es *EncodedState) {
 	a := en.agent
 	n, hid := len(es.Nodes), a.Cfg.Hidden
 
@@ -182,91 +116,8 @@ func (en *serveEngine) forwardF64(es *EncodedState) {
 	}
 }
 
-// forwardReduced is the float32 / int8-weight forward: same structure as
-// forwardF64 on the reduced kernels, with the log-softmax still computed in
-// float64 from the float32 scores.
-func (en *serveEngine) forwardReduced(es *EncodedState) {
-	a := en.agent
-	hid := a.Cfg.Hidden
-	input, gcns := en.layers[0], en.layers[1:1+len(a.gcn)]
-	actor, proc, idle := en.layers[1+len(a.gcn)], en.layers[2+len(a.gcn)], en.layers[3+len(a.gcn)]
-
-	en.x32.SetFrom(es.X)
-	if cap(en.val32) < len(es.Norm.Val) {
-		en.val32 = make([]float32, len(es.Norm.Val))
-	}
-	en.val32 = en.val32[:len(es.Norm.Val)]
-	for i, v := range es.Norm.Val {
-		en.val32[i] = float32(v)
-	}
-
-	en.matmulReduced(&en.x32, input, &en.h32)
-	addRowReLU32(&en.h32, input.B32.Data)
-	for _, g := range gcns {
-		tensor.SpMM32Into(es.Norm, en.val32, &en.h32, &en.tmp32)
-		en.matmulReduced(&en.tmp32, g, &en.h32)
-		addRowReLU32(&en.h32, g.B32.Data)
-	}
-
-	nActions := len(es.ReadyRows)
-	if es.AllowIdle {
-		nActions++
-	}
-	if cap(en.logits) < nActions {
-		en.logits = make([]float64, nActions)
-	}
-	en.logits = en.logits[:nActions]
-	en.ready32.Reset(len(es.ReadyRows), hid)
-	for i, r := range es.ReadyRows {
-		copy(en.ready32.Row(i), en.h32.Row(r))
-	}
-	en.matmulReduced(&en.ready32, actor, &en.score32)
-	for i := range es.ReadyRows {
-		en.logits[i] = float64(en.score32.Data[i] + actor.B32.Data[0])
-	}
-
-	if es.AllowIdle {
-		en.p32.SetFrom(es.Proc)
-		en.cat32.Reset(1, 2*hid)
-		procEmb := tensor.Matrix32{Rows: 1, Cols: hid, Data: en.cat32.Data[:hid]}
-		en.matmulReduced(&en.p32, proc, &procEmb)
-		for j := range procEmb.Data {
-			v := procEmb.Data[j] + proc.B32.Data[j]
-			if v < 0 {
-				v = 0
-			}
-			procEmb.Data[j] = v
-		}
-		// Column-wise max pool over h (first row, then strict improvements).
-		pooled := en.cat32.Data[hid:]
-		copy(pooled, en.h32.Row(0))
-		for i := 1; i < en.h32.Rows; i++ {
-			row := en.h32.Row(i)
-			for j, v := range row {
-				if v > pooled[j] {
-					pooled[j] = v
-				}
-			}
-		}
-		en.matmulReduced(&en.cat32, idle, &en.score32)
-		en.logits[nActions-1] = float64(en.score32.Data[0] + idle.B32.Data[0])
-	}
-}
-
-// matmulReduced multiplies by the layer's weight at the engine's tier. The
-// destination must not alias a.
-func (en *serveEngine) matmulReduced(a *tensor.Matrix32, l *nn.ServingLayer, out *tensor.Matrix32) {
-	if en.prec == PrecisionInt8 {
-		tensor.MatMulQ8Into(a, l.W8, out)
-		return
-	}
-	tensor.MatMul32SkipInto(a, &l.W32, out)
-}
-
 // logSoftmaxInto writes the log-softmax of logits into dst (len(dst) ==
-// len(logits)), replicating autograd.LogSoftmaxCol in float64. Both the B=1
-// serving forward and the batched forward normalise through this one function,
-// so their per-state results cannot diverge at this step by construction.
+// len(logits)), replicating autograd.LogSoftmaxCol in float64.
 func logSoftmaxInto(logits, dst []float64) {
 	maxv := math.Inf(-1)
 	for _, v := range logits {
@@ -290,18 +141,5 @@ func reluInPlace(xs []float64) {
 			continue
 		}
 		xs[i] = 0
-	}
-}
-
-func addRowReLU32(m *tensor.Matrix32, bias []float32) {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			v += bias[j]
-			if v < 0 {
-				v = 0
-			}
-			row[j] = v
-		}
 	}
 }

@@ -57,12 +57,9 @@ type Policy struct {
 
 	// inc maintains the decision state incrementally on the non-recording
 	// path; nil falls back to EncodeFault on every decision. engine, when set,
-	// replaces the tape forward with the serving engine at prec.
+	// replaces the tape forward with the float64 serving engine.
 	inc    *incrementalEncoder
 	engine *serveEngine
-	batch  *Batcher
-	lpBuf  []float64 // reusable result buffer for batched forwards
-	prec   Precision
 	memo   map[memoKey]memoVal
 	noMemo bool
 }
@@ -95,51 +92,23 @@ func NewPolicy(agent *Agent) *Policy {
 	p := &Policy{Agent: agent, Greedy: true}
 	p.inc = newIncrementalEncoder(agent.Cfg.Window, agent.Cfg.Directed, agent.Cfg.FaultFeatures)
 	if !agent.Cfg.DenseProp {
-		p.engine = newServeEngine(agent, PrecisionFloat64)
+		p.engine = newServeEngine(agent)
 	}
 	return p
 }
 
-// NewServingPolicy returns a greedy policy that evaluates the network on the
-// allocation-free serving engine at the given precision instead of the
-// autograd tape. PrecisionFloat64 decides bit-identically to NewPolicy;
-// float32/int8 trade bounded decision divergence for latency. Serving
-// policies cannot record training steps.
+// NewServingPolicy returns NewPolicy(agent): the float64 serving engine is the
+// only inference path, so prec must be PrecisionFloat64 and is otherwise
+// ignored. It remains so callers written against the earlier multi-tier API
+// (the perfbench harness) keep compiling; new code calls NewPolicy.
 func NewServingPolicy(agent *Agent, prec Precision) *Policy {
-	p := NewPolicy(agent)
-	p.EnableServing(prec)
-	return p
+	return NewPolicy(agent)
 }
 
 // NewTrainingPolicy returns a sampling, recording policy for the agent.
 // Training always runs the float64 tape path with full state rebuilds.
 func NewTrainingPolicy(agent *Agent, rng *rand.Rand) *Policy {
 	return &Policy{Agent: agent, Rng: rng, Record: true}
-}
-
-// EnableServing switches the policy's forward pass to the serving engine at
-// the given precision. Panics if the policy records training steps — the
-// reduced-precision path must never feed the trainer — or if the agent uses
-// the DenseProp ablation (which keeps the tape forward).
-func (p *Policy) EnableServing(prec Precision) {
-	if p.Record {
-		panic("core: serving precision on a recording (training) policy")
-	}
-	p.engine = newServeEngine(p.Agent, prec)
-	p.prec = prec
-}
-
-// UseBatcher routes the policy's serving forwards through a shared Batcher:
-// concurrent decisions on the same model coalesce into one row-batched pass.
-// The batcher's precision replaces any engine precision; at
-// core.PrecisionFloat64 decisions stay bit-identical to the unbatched path.
-// Panics on a recording (training) policy — batched forwards have no tape.
-func (p *Policy) UseBatcher(b *Batcher) {
-	if p.Record {
-		panic("core: batched serving on a recording (training) policy")
-	}
-	p.batch = b
-	p.prec = b.Precision()
 }
 
 // DisableIncrementalState forces a full EncodeFault rebuild on every decision
@@ -191,7 +160,7 @@ func (p *Policy) Decide(s *sim.State, r int) int {
 	p.desc.Update(s.Graph)
 	if p.Record {
 		if p.engine != nil {
-			panic("core: serving precision on a recording (training) policy")
+			panic("core: serving engine on a recording (training) policy")
 		}
 		return p.decideTape(s, r)
 	}
@@ -228,10 +197,7 @@ func (p *Policy) Decide(s *sim.State, r int) int {
 	start := time.Now()
 	var logProbs []float64
 	var idleIdx int
-	if p.batch != nil {
-		logProbs, idleIdx = p.batch.Forward(es, p.lpBuf)
-		p.lpBuf = logProbs // reuse the (possibly grown) buffer next decision
-	} else if p.engine != nil {
+	if p.engine != nil {
 		logProbs, idleIdx = p.engine.forward(es)
 	} else {
 		fw := p.Agent.Forward(es)

@@ -3,7 +3,7 @@
 //
 // Requests for one model are routed to the same replica (rendezvous hashing
 // on the model's canonical spec hash), so each replica's LRU registry and
-// cross-request batcher see a concentrated working set instead of a sliver of
+// clone free lists see a concentrated working set instead of a sliver of
 // every model. Replicas are health-checked over their /healthz endpoint and
 // failed over transparently: a replica dying mid-request surfaces as a
 // retried request on a survivor, not a 5xx to the caller.
@@ -241,7 +241,7 @@ func (g *Gateway) setHealth(rep *replica, healthy bool) {
 // routeKey is the rendezvous key of a schedule request: the canonical hash of
 // the agent spec the replica's registry will serve it with. Requests for one
 // model always land on one replica (while it is healthy), concentrating each
-// replica's model cache and cross-request batcher on a stable working set.
+// replica's model cache on a stable working set.
 func routeKey(req *serve.ScheduleRequest) string {
 	kind, err := taskgraph.KindFromString(req.Kind)
 	if err != nil {

@@ -37,7 +37,6 @@ func startReplica(t testing.TB, dir string) *httptest.Server {
 	t.Helper()
 	srv := serve.New(serve.Config{
 		ModelsDir: dir, Workers: 2, Queue: 32, RequestTimeout: 30 * time.Second,
-		Batch: true, BatchWidth: 4, BatchDwell: time.Millisecond,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)

@@ -60,17 +60,6 @@ type Registry struct {
 	hits    uint64
 	misses  uint64
 	evicted uint64
-
-	// defaultPrec is the serving precision for models without a per-model
-	// override; prec holds the overrides keyed by cache key. The zero value
-	// (PrecisionFloat64) serves bit-identically to the training-path policy.
-	defaultPrec core.Precision
-	prec        map[string]core.Precision
-
-	// batch, when non-nil, makes every lease carry a shared per-model
-	// batcher so concurrent rollouts coalesce their decision steps
-	// (EnableBatching). Nil leaves leases batcher-free.
-	batch *core.BatcherConfig
 }
 
 // model is one resident checkpoint.
@@ -84,11 +73,6 @@ type model struct {
 	master *core.Agent
 	free   []*core.Agent // idle clones, capped at maxIdleClones
 	live   bool          // false once evicted: stale releases are dropped
-	// batchers are the model's shared cross-request batchers, one per
-	// precision tier, created lazily on first lease. They compute over the
-	// master's (immutable) parameters; leases issued before an eviction keep
-	// their batcher, which stays consistent with the weights they leased.
-	batchers map[core.Precision]*core.Batcher
 }
 
 // Lease is one acquired agent instance. The agent is exclusively the
@@ -97,23 +81,10 @@ type Lease struct {
 	registry *Registry
 	model    *model
 	agent    *core.Agent
-	prec     core.Precision
-	batcher  *core.Batcher
 }
 
 // Agent returns the leased inference instance.
 func (l *Lease) Agent() *core.Agent { return l.agent }
-
-// Precision returns the serving precision the lease's rollouts should run at
-// (the model's override, else the registry default).
-func (l *Lease) Precision() core.Precision { return l.prec }
-
-// Batcher returns the shared cross-request batcher for the lease's model and
-// precision, or nil when batching is disabled (or the model's architecture
-// has no serving kernels). All concurrent leases of one model at one
-// precision share the same batcher — that sharing is what lets their
-// decision steps coalesce.
-func (l *Lease) Batcher() *core.Batcher { return l.batcher }
 
 // ModelName returns the canonical name of the model backing the lease.
 func (l *Lease) ModelName() string { return l.model.name }
@@ -156,74 +127,6 @@ func NewRegistry(dir string, maxModels, maxIdleClones int) *Registry {
 	}
 }
 
-// EnableBatching makes every subsequent lease carry a shared per-model
-// batcher: concurrent rollouts on one checkpoint submit their decision steps
-// to it and they coalesce into row-batched forwards over the master's
-// parameters (bit-identical per request at float64 — see core.Batcher).
-// Call once at service construction, before serving traffic.
-func (r *Registry) EnableBatching(cfg core.BatcherConfig) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.batch = &cfg
-}
-
-// batcherLocked resolves the shared batcher for a model at a precision,
-// creating it on first use; callers hold r.mu. Creation converts the master's
-// weights for the reduced tiers, which is acceptable under the lock because
-// it happens once per resident (model, precision) pair. DenseProp masters
-// have no serving kernels and lease with a nil batcher (the policy falls
-// back to its per-request path).
-func (r *Registry) batcherLocked(m *model, prec core.Precision) *core.Batcher {
-	if r.batch == nil || m.master.Cfg.DenseProp {
-		return nil
-	}
-	b, ok := m.batchers[prec]
-	if !ok {
-		if m.batchers == nil {
-			m.batchers = make(map[core.Precision]*core.Batcher)
-		}
-		b = core.NewBatcher(m.master, prec, *r.batch)
-		m.batchers[prec] = b
-	}
-	return b
-}
-
-// SetDefaultPrecision sets the serving precision used for every model without
-// a per-model override (readys-serve -precision). Affects leases acquired
-// after the call; in-flight leases keep the precision they were issued with.
-func (r *Registry) SetDefaultPrecision(p core.Precision) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.defaultPrec = p
-}
-
-// SetPrecision overrides the serving precision for the problem combination
-// the named checkpoint serves (base as accepted by Invalidate). Returns false
-// when the name does not parse as a canonical model name.
-func (r *Registry) SetPrecision(base string, p core.Precision) bool {
-	spec, ok := ParseModelName(base)
-	if !ok {
-		return false
-	}
-	key := cacheKey(spec.Kind, spec.T, spec.NumCPU, spec.NumGPU)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.prec == nil {
-		r.prec = make(map[string]core.Precision)
-	}
-	r.prec[key] = p
-	return true
-}
-
-// precLocked resolves the serving precision for a cache key; callers hold
-// r.mu.
-func (r *Registry) precLocked(key string) core.Precision {
-	if p, ok := r.prec[key]; ok {
-		return p
-	}
-	return r.defaultPrec
-}
-
 // cacheKey is the registry's cache key: the problem combination a model was
 // trained for, independent of its architecture. It doubles as the canonical
 // file-name prefix of the combination's checkpoints.
@@ -263,15 +166,13 @@ func (r *Registry) Acquire(kind taskgraph.Kind, T, cpus, gpus int) (lease *Lease
 		r.hits++
 		agent := m.popFreeLocked()
 		master := m.master
-		prec := r.precLocked(name)
-		batcher := r.batcherLocked(m, prec)
 		r.mu.Unlock()
 		if agent == nil {
 			// Clone outside the lock: parameter copies are the expensive
 			// part, and the master's values are immutable once loaded.
 			agent = master.Clone()
 		}
-		return &Lease{registry: r, model: m, agent: agent, prec: prec, batcher: batcher}, true, nil
+		return &Lease{registry: r, model: m, agent: agent}, true, nil
 	}
 	r.misses++
 	r.mu.Unlock()
@@ -299,13 +200,11 @@ func (r *Registry) Acquire(kind taskgraph.Kind, T, cpus, gpus int) (lease *Lease
 		r.lru.MoveToFront(el)
 		m := el.Value.(*model)
 		agent := m.popFreeLocked()
-		prec := r.precLocked(name)
-		batcher := r.batcherLocked(m, prec)
 		r.mu.Unlock()
 		if agent == nil {
 			agent = m.master.Clone()
 		}
-		return &Lease{registry: r, model: m, agent: agent, prec: prec, batcher: batcher}, true, nil
+		return &Lease{registry: r, model: m, agent: agent}, true, nil
 	}
 	m := &model{key: name, name: spec.Name(), spec: spec, meta: meta, master: master, live: true}
 	r.byName[name] = r.lru.PushFront(m)
@@ -318,12 +217,10 @@ func (r *Registry) Acquire(kind taskgraph.Kind, T, cpus, gpus int) (lease *Lease
 		delete(r.byName, victim.key)
 		r.evicted++
 	}
-	prec := r.precLocked(name)
-	batcher := r.batcherLocked(m, prec)
 	r.mu.Unlock()
 	// The first lease uses its own clone so the master's parameters stay a
 	// pristine copy of the checkpoint.
-	return &Lease{registry: r, model: m, agent: master.Clone(), prec: prec, batcher: batcher}, false, nil
+	return &Lease{registry: r, model: m, agent: master.Clone()}, false, nil
 }
 
 // popFreeLocked pops an idle clone; callers hold r.mu.

@@ -188,50 +188,3 @@ func TestRegistryList(t *testing.T) {
 		t.Fatalf("lu entry wrong: %+v", m)
 	}
 }
-
-// TestRegistryPrecision pins the serving-precision plumbing: leases default to
-// float64 (bit-identical serving), SetDefaultPrecision applies to subsequent
-// leases, and a per-model SetPrecision override beats the default.
-func TestRegistryPrecision(t *testing.T) {
-	dir := t.TempDir()
-	chol := testSpec(taskgraph.Cholesky, 2, 1, 1)
-	lu := testSpec(taskgraph.LU, 2, 1, 1)
-	writeTestModel(t, dir, chol)
-	writeTestModel(t, dir, lu)
-	r := NewRegistry(dir, 4, 2)
-
-	lease, _, err := r.Acquire(taskgraph.Cholesky, 2, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lease.Precision() != core.PrecisionFloat64 {
-		t.Fatalf("default lease precision %v, want float64", lease.Precision())
-	}
-	lease.Release()
-
-	r.SetDefaultPrecision(core.PrecisionInt8)
-	if !r.SetPrecision(lu.Name()+".json", core.PrecisionFloat32) {
-		t.Fatal("SetPrecision rejected canonical name")
-	}
-	if r.SetPrecision("garbage.json", core.PrecisionFloat32) {
-		t.Fatal("SetPrecision accepted a non-canonical name")
-	}
-
-	lease, _, err = r.Acquire(taskgraph.Cholesky, 2, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lease.Precision() != core.PrecisionInt8 {
-		t.Fatalf("post-default lease precision %v, want int8", lease.Precision())
-	}
-	lease.Release()
-
-	lease, _, err = r.Acquire(taskgraph.LU, 2, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lease.Precision() != core.PrecisionFloat32 {
-		t.Fatalf("override lease precision %v, want float32", lease.Precision())
-	}
-	lease.Release()
-}

@@ -45,25 +45,6 @@ type Config struct {
 	// default). Only the most recent window is kept, so tracing is always on
 	// and bounded.
 	TraceEvents int
-	// Precision is the default serving precision for rollouts
-	// (readys-serve -precision). The zero value, core.PrecisionFloat64,
-	// schedules bit-identically to the training-path policy; float32/int8
-	// trade bounded decision divergence for latency. Per-model overrides go
-	// through Registry.SetPrecision.
-	Precision core.Precision
-	// Batch enables cross-request inference batching (readys-serve -batch):
-	// concurrent rollouts on the same model submit their decision steps to a
-	// shared per-model batcher, which coalesces them into row-batched forward
-	// passes. Per-request results are bit-identical to unbatched serving at
-	// float64 (see core.Batcher).
-	Batch bool
-	// BatchWidth is the maximum states per flushed batch; <= 0 takes
-	// core.DefaultBatchWidth. When batching is on, Workers is raised to at
-	// least BatchWidth so rollouts can actually overlap.
-	BatchWidth int
-	// BatchDwell bounds how long a submitted decision may wait for peers
-	// before the batch flushes anyway; <= 0 takes core.DefaultBatchDwell.
-	BatchDwell time.Duration
 }
 
 // DefaultConfig returns production-shaped defaults sized to the host.
@@ -116,17 +97,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = def.MaxBodyBytes
 	}
-	if cfg.Batch {
-		if cfg.BatchWidth < 1 {
-			cfg.BatchWidth = core.DefaultBatchWidth
-		}
-		// Rollouts must overlap for their decisions to coalesce: a worker
-		// count below the batch width would leave the batcher waiting on
-		// rollouts that cannot be running.
-		if cfg.Workers < cfg.BatchWidth {
-			cfg.Workers = cfg.BatchWidth
-		}
-	}
 	s := &Server{
 		cfg: cfg,
 		// Idle clones are capped at the worker count: more can never be in
@@ -138,15 +108,6 @@ func New(cfg Config) *Server {
 		epoch:    time.Now(),
 		tracer:   obs.NewTracer(cfg.TraceEvents),
 		build:    obs.ReadBuildInfo(),
-	}
-	s.registry.SetDefaultPrecision(cfg.Precision)
-	if cfg.Batch {
-		s.registry.EnableBatching(core.BatcherConfig{
-			MaxWidth: cfg.BatchWidth,
-			Dwell:    cfg.BatchDwell,
-			OnFlush:  s.metrics.ObserveBatchFlush,
-			OnWait:   s.metrics.ObserveBatchDwell,
-		})
 	}
 	s.tracer.NameProcess(servePID, "readys-serve")
 	registerComponentGauges(s.metrics.Registry(), s.registry, s.pool)
@@ -316,16 +277,6 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 
-	// Attach to the model's shared batcher at admission, before the rollout
-	// starts: the batcher co-schedules attached requests, so announcing this
-	// one early is what lets decision steps from overlapping rollouts
-	// coalesce (a rollout that attached only once running would flush every
-	// step alone). runSchedule detaches right after its rollout; the two
-	// rejection paths below, where the closure never runs, detach here.
-	if b := lease.Batcher(); b != nil {
-		b.Attach()
-	}
-
 	var (
 		resp   ScheduleResponse
 		runErr error
@@ -337,9 +288,9 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		resp, runErr = s.runSchedule(&req, prob, lease, cacheHit, rid, sc)
 	})
 	if errors.Is(err, ErrBusy) || errors.Is(err, ErrShuttingDown) {
-		if b := lease.Batcher(); b != nil {
-			b.Detach()
-		}
+		// The pool rejected the job, so the closure (and its Release) never
+		// runs: return the clone here or the next request re-clones.
+		lease.Release()
 	}
 	switch {
 	case errors.Is(err, ErrBusy):
@@ -372,20 +323,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 // recorded as spans on the request's trace lane.
 func (s *Server) runSchedule(req *ScheduleRequest, prob core.Problem, lease *Lease, cacheHit bool, rid int64, sc obs.SpanContext) (ScheduleResponse, error) {
 	start := time.Now()
-	inner := core.NewServingPolicy(lease.Agent(), lease.Precision())
-	pol := tracedPolicy{inner: inner, srv: s, tid: rid, sc: sc}
-	// The request attached to the batcher at admission (handleSchedule); the
-	// detach goes right after the rollout, not at request end: the baseline
-	// references below never call Forward, and a request that stayed attached
-	// through them would stall concurrent rollouts on the dwell timer.
-	b := lease.Batcher()
-	if b != nil {
-		inner.UseBatcher(b)
-	}
+	pol := tracedPolicy{inner: core.NewPolicy(lease.Agent()), srv: s, tid: rid, sc: sc}
 	res, err := prob.Simulate(pol, rand.New(rand.NewSource(req.Seed)))
-	if b != nil {
-		b.Detach()
-	}
 	s.span("rollout", "sim", rid, start, childArgs(sc, map[string]any{"tasks": prob.Graph.NumTasks(), "decisions": res.Decisions}))
 	if err != nil {
 		return ScheduleResponse{}, fmt.Errorf("serve: rollout: %w", err)

@@ -290,6 +290,58 @@ func TestServeBackpressure(t *testing.T) {
 	}
 }
 
+// TestServeRejectedRequestReleasesLease pins that a request the pool refuses
+// (503 for a full queue or a draining pool) returns its leased clone: the
+// rollout closure never runs, so handleSchedule must release it, or every
+// later request would pay a fresh master.Clone().
+func TestServeRejectedRequestReleasesLease(t *testing.T) {
+	dir := t.TempDir()
+	writeTestModel(t, dir, testSpec(taskgraph.Cholesky, 4, 1, 1))
+	s := New(Config{ModelsDir: dir, Workers: 1, Queue: 1, RequestTimeout: 10 * time.Second})
+	h := s.Handler()
+	freeClones := func() int {
+		s.registry.mu.Lock()
+		defer s.registry.mu.Unlock()
+		el, ok := s.registry.byName[cacheKey(taskgraph.Cholesky, 4, 1, 1)]
+		if !ok {
+			t.Fatal("model not resident")
+		}
+		return len(el.Value.(*model).free)
+	}
+	req := ScheduleRequest{Kind: "cholesky", T: 4, CPUs: 1, GPUs: 1}
+
+	block := make(chan struct{})
+	started := make(chan struct{})
+	go s.pool.Do(context.Background(), func() { close(started); <-block })
+	<-started
+	go s.pool.Do(context.Background(), func() {})
+	for deadline := time.Now().Add(5 * time.Second); s.pool.Queued() < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("queue slot never filled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if rec, _ := postSchedule(t, h, req); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("saturated pool -> %d, want 503", rec.Code)
+	}
+	if n := freeClones(); n != 1 {
+		t.Fatalf("after a busy 503 the free list holds %d clones, want 1", n)
+	}
+	close(block)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if rec, _ := postSchedule(t, h, req); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("post-shutdown schedule -> %d, want 503", rec.Code)
+	}
+	if n := freeClones(); n != 1 {
+		t.Fatalf("after a shutdown 503 the free list holds %d clones, want 1", n)
+	}
+}
+
 func TestServeGracefulShutdownDrains(t *testing.T) {
 	s := newTestServer(t)
 	h := s.Handler()
@@ -381,22 +433,5 @@ func TestServedPlanMatchesDirectSchedule(t *testing.T) {
 	}
 	if direct.Makespan != resp.Makespan {
 		t.Fatalf("served %g vs direct %g", resp.Makespan, direct.Makespan)
-	}
-}
-
-// TestScheduleReducedPrecision runs a schedule request end to end with the
-// int8 serving tier as the server default: the response must still be a
-// complete, validated schedule (runSchedule re-validates every plan before
-// answering, so a quantization-broken rollout could not slip through).
-func TestScheduleReducedPrecision(t *testing.T) {
-	dir := t.TempDir()
-	writeTestModel(t, dir, testSpec(taskgraph.Cholesky, 4, 1, 1))
-	s := New(Config{ModelsDir: dir, Workers: 2, Queue: 8, Precision: core.PrecisionInt8})
-	rec, resp := postSchedule(t, s.Handler(), ScheduleRequest{Kind: "cholesky", T: 4, CPUs: 1, GPUs: 1, Seed: 7})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("int8 schedule -> %d: %s", rec.Code, rec.Body.String())
-	}
-	if resp.Makespan <= 0 || len(resp.Placements) != resp.NumTasks {
-		t.Fatalf("int8 schedule implausible: %+v", resp)
 	}
 }

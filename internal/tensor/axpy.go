@@ -2,7 +2,7 @@ package tensor
 
 // The axpy kernels are the shared inner loop of every matrix product in this
 // package: out_row += alpha * b_row. On amd64 with AVX2 they run vectorised
-// (see axpy_amd64.s); everywhere else the pure-Go loops below are used.
+// (see axpy_amd64.s); everywhere else the pure-Go loop below is used.
 //
 // The vector versions deliberately use separate multiply and add instructions
 // (VMULPD + VADDPD), never fused multiply-add: each lane then performs exactly
@@ -15,20 +15,5 @@ package tensor
 func axpyF64Generic(alpha float64, x, y []float64) {
 	for i, v := range x {
 		y[i] += alpha * v
-	}
-}
-
-// axpyF32Generic is the float32 variant of axpyF64Generic.
-func axpyF32Generic(alpha float32, x, y []float32) {
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
-// axpyQ8Generic computes y[i] += alpha * float32(q[i]) — the int8-weight,
-// float32-accumulate inner loop of the quantized serving path.
-func axpyQ8Generic(alpha float32, q []int8, y []float32) {
-	for i, v := range q {
-		y[i] += alpha * float32(v)
 	}
 }

@@ -35,6 +35,11 @@ TEXT ·axpyAVX2F64(SB), NOSPLIT, $0-56
 	ANDQ $-8, DX
 	JZ   f64tail
 
+	// Start the hot loop on a cache line, so its fetch alignment does not
+	// depend on where the linker places this function (which moves whenever
+	// unrelated code is added or deleted).
+	PCALIGN $64
+
 f64loop8:
 	VMOVUPD (SI)(AX*8), Y1
 	VMOVUPD 32(SI)(AX*8), Y2
@@ -62,92 +67,5 @@ f64tailloop:
 	JLT  f64tailloop
 
 f64done:
-	VZEROUPPER
-	RET
-
-// func axpyAVX2F32(alpha float32, x, y []float32)
-//
-// float32 variant of axpyAVX2F64 (16 elements per iteration).
-TEXT ·axpyAVX2F32(SB), NOSPLIT, $0-56
-	MOVQ x_base+8(FP), SI
-	MOVQ y_base+32(FP), DI
-	MOVQ y_len+40(FP), CX
-	VBROADCASTSS alpha+0(FP), Y0
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-16, DX
-	JZ   f32tail
-
-f32loop16:
-	VMOVUPS (SI)(AX*4), Y1
-	VMOVUPS 32(SI)(AX*4), Y2
-	VMULPS  Y0, Y1, Y1
-	VMULPS  Y0, Y2, Y2
-	VADDPS  (DI)(AX*4), Y1, Y1
-	VADDPS  32(DI)(AX*4), Y2, Y2
-	VMOVUPS Y1, (DI)(AX*4)
-	VMOVUPS Y2, 32(DI)(AX*4)
-	ADDQ $16, AX
-	CMPQ AX, DX
-	JLT  f32loop16
-
-f32tail:
-	CMPQ AX, CX
-	JGE  f32done
-
-f32tailloop:
-	MOVSS (SI)(AX*4), X1
-	MULSS X0, X1
-	ADDSS (DI)(AX*4), X1
-	MOVSS X1, (DI)(AX*4)
-	INCQ AX
-	CMPQ AX, CX
-	JLT  f32tailloop
-
-f32done:
-	VZEROUPPER
-	RET
-
-// func axpyAVX2Q8(alpha float32, q []int8, y []float32)
-//
-// y[i] += alpha * float32(q[i]): sign-extend 8 int8 weights to int32
-// (VPMOVSXBD), convert to float32 (VCVTDQ2PS), then multiply-add like the
-// float32 kernel. int8 -> float32 conversion is exact, so this too matches
-// the pure-Go loop bit for bit.
-TEXT ·axpyAVX2Q8(SB), NOSPLIT, $0-56
-	MOVQ q_base+8(FP), SI
-	MOVQ y_base+32(FP), DI
-	MOVQ y_len+40(FP), CX
-	VBROADCASTSS alpha+0(FP), Y0
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-8, DX
-	JZ   q8tail
-
-q8loop8:
-	VPMOVSXBD (SI)(AX*1), Y1
-	VCVTDQ2PS Y1, Y1
-	VMULPS  Y0, Y1, Y1
-	VADDPS  (DI)(AX*4), Y1, Y1
-	VMOVUPS Y1, (DI)(AX*4)
-	ADDQ $8, AX
-	CMPQ AX, DX
-	JLT  q8loop8
-
-q8tail:
-	CMPQ AX, CX
-	JGE  q8done
-
-q8tailloop:
-	MOVBQSX (SI)(AX*1), R8
-	CVTSQ2SS R8, X1
-	MULSS X0, X1
-	ADDSS (DI)(AX*4), X1
-	MOVSS X1, (DI)(AX*4)
-	INCQ AX
-	CMPQ AX, CX
-	JLT  q8tailloop
-
-q8done:
 	VZEROUPPER
 	RET

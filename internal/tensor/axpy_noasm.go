@@ -7,6 +7,4 @@ package tensor
 
 const hasAVX2 = false
 
-func axpyF64(alpha float64, x, y []float64)       { axpyF64Generic(alpha, x, y) }
-func axpyF32(alpha float32, x, y []float32)       { axpyF32Generic(alpha, x, y) }
-func axpyQ8(alpha float32, q []int8, y []float32) { axpyQ8Generic(alpha, q, y) }
+func axpyF64(alpha float64, x, y []float64) { axpyF64Generic(alpha, x, y) }

@@ -40,53 +40,6 @@ func TestAxpyF64BitIdentical(t *testing.T) {
 	}
 }
 
-func TestAxpyF32BitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	alphas := []float32{0, float32(math.Copysign(0, -1)), 1, -1, 0.333, -1e-30, 1e30}
-	for _, n := range []int{0, 1, 3, 7, 8, 15, 16, 17, 31, 32, 33, 64, 130} {
-		for _, alpha := range alphas {
-			x := make([]float32, n)
-			y0 := make([]float32, n)
-			for i := range x {
-				x[i] = float32(rng.NormFloat64())
-				y0[i] = float32(rng.NormFloat64())
-			}
-			want := append([]float32(nil), y0...)
-			axpyF32Generic(alpha, x, want)
-			got := append([]float32(nil), y0...)
-			axpyF32(alpha, x, got)
-			for i := range want {
-				if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
-					t.Fatalf("n=%d alpha=%v i=%d: got %x want %x", n, alpha, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
-				}
-			}
-		}
-	}
-}
-
-func TestAxpyQ8BitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{0, 1, 5, 7, 8, 9, 16, 31, 33, 128} {
-		for _, alpha := range []float32{0, 1, -0.007843138, 2.5} {
-			q := make([]int8, n)
-			y0 := make([]float32, n)
-			for i := range q {
-				q[i] = int8(rng.Intn(256) - 128)
-				y0[i] = float32(rng.NormFloat64())
-			}
-			want := append([]float32(nil), y0...)
-			axpyQ8Generic(alpha, q, want)
-			got := append([]float32(nil), y0...)
-			axpyQ8(alpha, q, got)
-			for i := range want {
-				if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
-					t.Fatalf("n=%d alpha=%v i=%d: got %v want %v", n, alpha, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 func TestDetectAVX2Reported(t *testing.T) {
 	// Informational: record which path the rest of the suite exercised.
 	t.Logf("hasAVX2=%v", hasAVX2)
